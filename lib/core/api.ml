@@ -1243,14 +1243,8 @@ let seg_clone_c ctx seg ~name =
       let src = Segment.vm_object seg and dst = Segment.vm_object clone in
       let c = cost ctx in
       for p = 0 to Segment.pages seg - 1 do
-        let data =
-          Sj_mem.Phys_mem.read_bytes mem
-            ~pa:(Sj_mem.Phys_mem.base_of_frame (Vm_object.frame_at src ~page:p))
-            ~len:Addr.page_size
-        in
-        Sj_mem.Phys_mem.write_bytes mem
-          ~pa:(Sj_mem.Phys_mem.base_of_frame (Vm_object.frame_at dst ~page:p))
-          data;
+        Sj_mem.Phys_mem.copy_frame mem ~src:(Vm_object.frame_at src ~page:p)
+          ~dst:(Vm_object.frame_at dst ~page:p);
         Core.charge ctx.core c.page_zero
       done;
       Registry.register_seg ctx.sys.reg clone;

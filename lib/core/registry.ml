@@ -86,7 +86,8 @@ let find_seg_by_id t sid =
 let unregister_seg t seg =
   Hashtbl.remove t.segs (Segment.name seg);
   Hashtbl.remove t.segs_by_id (Segment.sid seg);
-  Hashtbl.remove t.heaps (Segment.sid seg)
+  Hashtbl.remove t.heaps (Segment.sid seg);
+  Hashtbl.remove t.live_maps (Segment.sid seg)
 
 let list_segs t = Hashtbl.fold (fun _ s acc -> s :: acc) t.segs []
 
@@ -109,11 +110,16 @@ let note_mapping t ~sid vms =
 
 let forget_mapping t ~sid vms =
   match Hashtbl.find_opt t.live_maps sid with
-  | Some l -> l := List.filter (fun v -> not (v == vms)) !l
+  | Some l -> (
+    match List.filter (fun v -> not (v == vms)) !l with
+    | [] -> Hashtbl.remove t.live_maps sid
+    | rest -> l := rest)
   | None -> ()
 
 let mappings t ~sid =
   match Hashtbl.find_opt t.live_maps sid with Some l -> !l | None -> []
+
+let mapped_segment_count t = Hashtbl.length t.live_maps
 
 let tag_in_use t tag =
   tag > 0

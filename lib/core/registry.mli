@@ -59,8 +59,16 @@ val set_heap : t -> Segment.t -> Sj_alloc.Mspace.t -> unit
     snapshot must write-protect a segment everywhere. *)
 
 val note_mapping : t -> sid:int -> Sj_kernel.Vmspace.t -> unit
+
 val forget_mapping : t -> sid:int -> Sj_kernel.Vmspace.t -> unit
+(** Drops the segment's entry once its last mapping goes. *)
+
 val mappings : t -> sid:int -> Sj_kernel.Vmspace.t list
+
+val mapped_segment_count : t -> int
+(** Entries in the mapping table: segments with at least one live
+    mapping. {!unregister_seg} drops a segment's entry, so fork and
+    teardown cycles leave this unchanged. *)
 
 (** {2 TLB tags} *)
 

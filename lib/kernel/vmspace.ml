@@ -124,11 +124,13 @@ let map_object t ~charge_to ~base ?(obj_page = 0) ?pages ?(global = false) ?(cow
   (match page with
   | Page_table.P4K ->
     if not cow then
-      (* Uniform protection: install the whole run through the batched
-         path (identical PTEs and stats, one leaf-table walk per
+      (* Uniform protection: install each chunk's run through the
+         batched path (identical PTEs and stats, one leaf-table walk per
          2 MiB). *)
-      Page_table.map_run ~global ~key t.pt ~va:base ~n:pages
-        ~frames:(Vm_object.frames obj) ~off:obj_page ~prot
+      Vm_object.iter_runs obj ~page:obj_page ~pages (fun ~off ~n ~chunks ~chunk ~slot ->
+          Page_table.map_chunk_run ~global ~key t.pt
+            ~va:(base + (off * Addr.page_size))
+            ~n ~chunks ~chunk ~slot ~prot)
     else
       for i = 0 to pages - 1 do
         let page = obj_page + i in

@@ -13,19 +13,29 @@ type t = {
   frames_total : int;
   numa_nodes : int; (* performance-tier node count *)
   nodes : node array;
-  (* Per-node allocation state: a bump pointer plus a free list of
-     previously released frames. *)
+  (* Per-node allocation state: a bump pointer plus a stack of
+     previously released frames, popped last-freed-first. That order
+     decides frame numbers, and with them simulated addresses and
+     cycles. *)
   bump : int array;
-  free_lists : frame list array;
-  (* One byte per frame ('\000' free / '\001' allocated): allocation
+  free : Int_stack.t array;
+  (* One byte per frame: its owner count. 0 = free, 1..254 = that many
+     owners, [overflow_mark] = the count lives in [overflow]. Allocation
      membership is checked on every simulated access, and setup maps
      tens of thousands of frames, so this is a flat table rather than a
      hashtable. *)
-  allocated : Bytes.t;
+  owners : Bytes.t;
+  overflow : (int, int) Hashtbl.t;
   (* Node indices in default allocation preference order (performance
      tier first), precomputed so [alloc_frame] builds no lists. *)
   default_order : int array;
   contents : (frame, bytes) Hashtbl.t; (* lazily materialized *)
+  (* Buffers of freed or zeroed frames, reused before allocating: a
+     4 KiB buffer is a major-heap block, and CoW churn (split, then free
+     at teardown) would otherwise allocate one per copied page. Bounded
+     by [spare_max]. *)
+  spare : bytes array;
+  mutable spare_n : int;
   mutable n_allocated : int;
   (* Last-frame memo for the machine's fast path: when [memo_frame]
      is non-negative it is an allocated frame whose backing bytes are
@@ -40,6 +50,10 @@ type t = {
      (like the epoch) because grafting shares interior nodes across
      tables, so their indices must resolve in one common store. *)
   pt_store : Pt_store.t;
+  (* Arena of the VM objects' 512-frame chunks over this memory (the
+     frame-ownership twin of [pt_store]: CoW clones share chunks the way
+     forked page tables share subtrees). *)
+  chunk_store : Pt_store.t;
   (* Roots and extracted-subtree handles of the live page tables over
      this memory, as raw node indices (registered by
      [Sj_paging.Page_table]). Per-memory — not global — so concurrent
@@ -49,6 +63,8 @@ type t = {
   mutable pt_roots : int list;
   mutable pt_handles : int list;
 }
+
+let spare_max = 64
 
 let create_tiered ~size ~numa_nodes ~capacity_size =
   if size <= 0 || size mod Addr.page_size <> 0 then
@@ -77,18 +93,22 @@ let create_tiered ~size ~numa_nodes ~capacity_size =
     numa_nodes;
     nodes;
     bump = Array.make n 0;
-    free_lists = Array.make n [];
-    allocated = Bytes.make (perf_frames + capacity_frames) '\000';
+    free = Array.init n (fun _ -> Int_stack.create ());
+    owners = Bytes.make (perf_frames + capacity_frames) '\000';
+    overflow = Hashtbl.create 16;
     default_order =
       Array.append
         (Array.init numa_nodes Fun.id)
         (if capacity_frames > 0 then [| numa_nodes |] else [||]);
     contents = Hashtbl.create 4096;
+    spare = Array.make spare_max Bytes.empty;
+    spare_n = 0;
     n_allocated = 0;
     memo_frame = -1;
     memo_bytes = Bytes.empty;
     pt_epoch = 0;
     pt_store = Pt_store.create ();
+    chunk_store = Pt_store.create ();
     pt_roots = [];
     pt_handles = [];
   }
@@ -116,10 +136,11 @@ let node_of_frame t f =
   go 0
 
 let is_allocated t f =
-  f >= 0 && f < t.frames_total && Bytes.unsafe_get t.allocated f <> '\000'
+  f >= 0 && f < t.frames_total && Bytes.unsafe_get t.owners f <> '\000'
 let pt_epoch t = t.pt_epoch
 let bump_pt_epoch t = t.pt_epoch <- t.pt_epoch + 1
 let pt_store t = t.pt_store
+let chunk_store t = t.chunk_store
 
 let remove_first x l =
   let rec go acc = function
@@ -136,19 +157,18 @@ let pt_unregister_root t n = t.pt_roots <- remove_first n t.pt_roots
 let pt_register_handle t n = t.pt_handles <- n :: t.pt_handles
 let pt_unregister_handle t n = t.pt_handles <- remove_first n t.pt_handles
 
+(* Next frame of [node], or -1 when the node is exhausted. *)
 let alloc_on_node t node =
-  match t.free_lists.(node) with
-  | f :: rest ->
-    t.free_lists.(node) <- rest;
-    Some f
-  | [] ->
+  let f = Int_stack.pop t.free.(node) in
+  if f >= 0 then f
+  else
     let nd = t.nodes.(node) in
     if t.bump.(node) < nd.nframes then begin
       let f = nd.first + t.bump.(node) in
       t.bump.(node) <- t.bump.(node) + 1;
-      Some f
+      f
     end
-    else None
+    else -1
 
 (* Node preference: the requested node first, then the default order
    (performance tier before capacity) skipping the duplicate. *)
@@ -157,15 +177,17 @@ let alloc_frame ?node t =
     match node with
     | Some n ->
       if n < 0 || n >= Array.length t.nodes then invalid_arg "Phys_mem.alloc_frame: bad node";
-      (match alloc_on_node t n with
-      | Some f -> f
-      | None ->
+      let f = alloc_on_node t n in
+      if f >= 0 then f
+      else
         let rec go i =
           if i >= Array.length t.nodes then raise Out_of_memory
           else if i = n then go (i + 1)
-          else match alloc_on_node t i with Some f -> f | None -> go (i + 1)
+          else
+            let f = alloc_on_node t i in
+            if f >= 0 then f else go (i + 1)
         in
-        go 0)
+        go 0
     | None ->
       (* Unpinned allocations stay in the performance tier; the capacity
          tier is only used when explicitly requested or when DRAM is
@@ -174,13 +196,12 @@ let alloc_frame ?node t =
       let rec go i =
         if i >= Array.length order then raise Out_of_memory
         else
-          match alloc_on_node t order.(i) with
-          | Some f -> f
-          | None -> go (i + 1)
+          let f = alloc_on_node t order.(i) in
+          if f >= 0 then f else go (i + 1)
       in
       go 0
   in
-  Bytes.unsafe_set t.allocated f '\001';
+  Bytes.unsafe_set t.owners f '\001';
   t.n_allocated <- t.n_allocated + 1;
   f
 
@@ -211,13 +232,13 @@ let alloc_frames_contiguous ?node ?(align = 1) t ~n =
       if start + n <= t.nodes.(nd).nframes then begin
         (* Frames skipped by alignment stay usable via the free list. *)
         for f = t.bump.(nd) to start - 1 do
-          t.free_lists.(nd) <- (node_base + f) :: t.free_lists.(nd)
+          Int_stack.push t.free.(nd) (node_base + f)
         done;
         let first = node_base + start in
         t.bump.(nd) <- start + n;
         Array.init n (fun i ->
             let f = first + i in
-            Bytes.unsafe_set t.allocated f '\001';
+            Bytes.unsafe_set t.owners f '\001';
             f)
       end
       else go rest
@@ -226,18 +247,89 @@ let alloc_frames_contiguous ?node ?(align = 1) t ~n =
   t.n_allocated <- t.n_allocated + n;
   frames
 
-let free_frame t f =
-  if not (is_allocated t f) then
-    invalid_arg "Phys_mem.free_frame: frame not allocated";
-  Bytes.unsafe_set t.allocated f '\000';
-  Hashtbl.remove t.contents f;
+(* {2 Owner counts} *)
+
+let overflow_mark = 255
+
+let frame_refs t f =
+  if f < 0 || f >= t.frames_total then 0
+  else
+    let c = Char.code (Bytes.unsafe_get t.owners f) in
+    if c = overflow_mark then Hashtbl.find t.overflow f else c
+
+(* Count [n] >= 1 for an allocated frame. *)
+let set_refs t f n =
+  if n >= overflow_mark then Hashtbl.replace t.overflow f n
+  else if Char.code (Bytes.unsafe_get t.owners f) = overflow_mark then Hashtbl.remove t.overflow f;
+  Bytes.unsafe_set t.owners f (Char.unsafe_chr (min n overflow_mark))
+
+let forget_contents t f =
+  (match Hashtbl.find_opt t.contents f with
+  | Some b ->
+    Hashtbl.remove t.contents f;
+    if t.spare_n < spare_max then begin
+      t.spare.(t.spare_n) <- b;
+      t.spare_n <- t.spare_n + 1
+    end
+  | None -> ());
   if t.memo_frame = f then begin
     t.memo_frame <- -1;
     t.memo_bytes <- Bytes.empty
-  end;
+  end
+
+(* A page buffer with unspecified contents. *)
+let fresh_buffer t =
+  if t.spare_n = 0 then Bytes.create Addr.page_size
+  else begin
+    t.spare_n <- t.spare_n - 1;
+    let b = t.spare.(t.spare_n) in
+    t.spare.(t.spare_n) <- Bytes.empty;
+    b
+  end
+
+let release_last t f =
+  Bytes.unsafe_set t.owners f '\000';
+  forget_contents t f;
   t.n_allocated <- t.n_allocated - 1;
-  let node = node_of_frame t f in
-  t.free_lists.(node) <- f :: t.free_lists.(node)
+  Int_stack.push t.free.(node_of_frame t f) f
+
+let free_frame t f =
+  match frame_refs t f with
+  | 0 -> invalid_arg "Phys_mem.free_frame: frame not allocated"
+  | 1 -> release_last t f
+  | n -> invalid_arg (Printf.sprintf "Phys_mem.free_frame: frame %d has %d owners" f n)
+
+let share_frame t f =
+  match frame_refs t f with
+  | 0 -> invalid_arg "Phys_mem.share_frame: frame not allocated"
+  | n -> set_refs t f (n + 1)
+
+let release_frame t f =
+  match frame_refs t f with
+  | 0 -> invalid_arg "Phys_mem.release_frame: frame not allocated"
+  | 1 -> release_last t f
+  | n -> set_refs t f (n - 1)
+
+(* Chunk-wide forms of the two above, one pass over the node's filled
+   slots: the common in-byte case stays in this loop, everything else
+   (free, overflow, errors) goes through the per-frame functions. *)
+let share_chunk t node =
+  let blk = Pt_store.block t.chunk_store node and base = Pt_store.block_offset node in
+  for s = base to base + Pt_store.live t.chunk_store node - 1 do
+    let f = Array.unsafe_get blk s in
+    let c = Char.code (Bytes.get t.owners f) in
+    if c > 0 && c < overflow_mark - 1 then Bytes.unsafe_set t.owners f (Char.unsafe_chr (c + 1))
+    else share_frame t f
+  done
+
+let release_chunk t node =
+  let blk = Pt_store.block t.chunk_store node and base = Pt_store.block_offset node in
+  for s = base to base + Pt_store.live t.chunk_store node - 1 do
+    let f = Array.unsafe_get blk s in
+    let c = Char.code (Bytes.get t.owners f) in
+    if c > 1 && c < overflow_mark then Bytes.unsafe_set t.owners f (Char.unsafe_chr (c - 1))
+    else release_frame t f
+  done
 
 let check_allocated t f ctx =
   if not (is_allocated t f) then
@@ -247,7 +339,8 @@ let backing t f =
   match Hashtbl.find_opt t.contents f with
   | Some b -> b
   | None ->
-    let b = Bytes.make Addr.page_size '\000' in
+    let b = fresh_buffer t in
+    Bytes.fill b 0 Addr.page_size '\000';
     Hashtbl.replace t.contents f b;
     b
 
@@ -365,11 +458,21 @@ let fill t ~pa ~len x =
 
 let zero_frame t f =
   check_allocated t f "zero_frame";
-  Hashtbl.remove t.contents f;
-  if t.memo_frame = f then begin
-    t.memo_frame <- -1;
-    t.memo_bytes <- Bytes.empty
-  end
+  forget_contents t f
+
+let copy_frame t ~src ~dst =
+  check_allocated t src "copy_frame";
+  check_allocated t dst "copy_frame";
+  if src <> dst then
+    match Hashtbl.find_opt t.contents src with
+    | None -> forget_contents t dst
+    | Some b -> (
+      match Hashtbl.find_opt t.contents dst with
+      | Some d -> Bytes.blit b 0 d 0 Addr.page_size
+      | None ->
+        let d = fresh_buffer t in
+        Bytes.blit b 0 d 0 Addr.page_size;
+        Hashtbl.replace t.contents dst d)
 
 (* {2 Fast-path accessors}
 

@@ -7,7 +7,17 @@
     while the host only pays for pages actually touched.
 
     Frames are allocated and freed in page units through a free-list
-    allocator; double-free and use-after-free are detected. *)
+    allocator (per node, last-freed-first; frame numbers feed simulated
+    addresses, so this order is part of the contract); double-free and
+    use-after-free are detected.
+
+    {b Ownership.} Every allocated frame carries an owner count, kept in
+    a one-byte-per-frame table (0 = free, 1-254 in place, larger counts
+    in a side table). {!alloc_frame} hands out a frame with one owner;
+    {!share_frame} adds one; {!release_frame} drops one and frees the
+    frame when the last goes. Page tables own their frames outright and
+    use {!free_frame}; VM objects count one owner per *chunk* holding
+    the frame (see [Sj_kernel.Vm_object]). *)
 
 type t
 
@@ -54,8 +64,34 @@ val alloc_frames_contiguous : ?node:int -> ?align:int -> t -> n:int -> frame arr
     {!Out_of_memory} when no node has a large enough run left. *)
 
 val free_frame : t -> frame -> unit
-(** Return a frame to the allocator. Raises [Invalid_argument] if the
-    frame is not currently allocated. *)
+(** Return a solely-owned frame to the allocator. Raises
+    [Invalid_argument] if the frame is not currently allocated or has
+    more than one owner. Freed frames are reused last-freed-first. *)
+
+val share_frame : t -> frame -> unit
+(** Add an owner to an allocated frame. Raises [Invalid_argument] if the
+    frame is not allocated. *)
+
+val release_frame : t -> frame -> unit
+(** Drop an owner; the frame is freed (as by {!free_frame}) when its
+    count reaches zero. Raises [Invalid_argument] if the frame is not
+    allocated. *)
+
+val frame_refs : t -> frame -> int
+(** The frame's owner count; 0 iff it is free. *)
+
+val share_chunk : t -> int -> unit
+(** {!share_frame} on every frame of a node of {!chunk_store} (its
+    [live] filled slots), in one pass. *)
+
+val release_chunk : t -> int -> unit
+(** {!release_frame} on every frame of a node of {!chunk_store}, in
+    slot order. *)
+
+val copy_frame : t -> src:frame -> dst:frame -> unit
+(** Copy one frame's contents onto another, frame to frame. Copying a
+    never-written source leaves [dst] unmaterialized (it reads as
+    zeroes, like any fresh frame). *)
 
 val base_of_frame : frame -> int
 (** Physical byte address of the frame's first byte. *)
@@ -84,6 +120,12 @@ val pt_store : t -> Pt_store.t
 (** Node arena for the page tables built over this memory (shared
     across tables for the same reason as {!pt_epoch}; used by
     [Sj_paging.Page_table]). *)
+
+val chunk_store : t -> Pt_store.t
+(** Arena for the 512-frame chunks VM objects over this memory keep
+    their frames in ([Sj_kernel.Vm_object]): a node's slots are frame
+    numbers, [refs] counts the objects sharing the chunk and [live] its
+    filled slots. *)
 
 (** {2 Page-table root/handle registry}
 

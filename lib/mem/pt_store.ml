@@ -28,26 +28,25 @@ type t = {
   mutable refs : int array;
   mutable cap : int; (* nodes the allocated chunks can hold *)
   mutable next : int; (* bump cursor: indices >= next never used yet *)
-  mutable free : int list; (* recycled node indices *)
+  free : Int_stack.t; (* recycled node indices *)
   mutable free_count : int; (* monotone; bumped on every [free] *)
   mutable alloc_count : int; (* monotone; bumped on every [alloc] *)
 }
 
 let initial_chunks = 8
 
+(* No chunk until the first [alloc]: a memory whose store stays empty
+   costs only the header. *)
 let create () =
-  let cap = chunk_nodes in
-  let chunks = Array.make initial_chunks [||] in
-  chunks.(0) <- Array.make (chunk_nodes * slots) 0;
   {
-    chunks;
-    level = Array.make cap 0;
-    frame = Array.make cap 0;
-    live = Array.make cap 0;
-    refs = Array.make cap 0;
-    cap;
+    chunks = Array.make initial_chunks [||];
+    level = [||];
+    frame = [||];
+    live = [||];
+    refs = [||];
+    cap = 0;
     next = 0;
-    free = [];
+    free = Int_stack.create ();
     free_count = 0;
     alloc_count = 0;
   }
@@ -73,29 +72,36 @@ let grow t =
   t.refs <- grow_arr t.refs 0;
   t.cap <- cap'
 
-let alloc t ~level ~frame =
+let block t idx = Array.unsafe_get t.chunks (idx lsr chunk_shift)
+let block_offset idx = (idx land chunk_mask) * slots
+
+(* A node index to hand out, recycled (entries stale) or fresh, set
+   up with [refs = 1]. *)
+let take t ~level ~frame ~live =
+  let idx = Int_stack.pop t.free in
   let idx =
-    match t.free with
-    | i :: rest ->
-      t.free <- rest;
-      (* Recycled nodes carry stale entries; hand out zeroed tables. *)
-      Array.fill t.chunks.(i lsr chunk_shift) ((i land chunk_mask) * slots) slots 0;
-      i
-    | [] ->
+    if idx >= 0 then idx
+    else begin
       if t.next >= t.cap then grow t;
-      let i = t.next in
-      t.next <- i + 1;
-      i
+      t.next <- t.next + 1;
+      t.next - 1
+    end
   in
   t.level.(idx) <- level;
   t.frame.(idx) <- frame;
-  t.live.(idx) <- 0;
+  t.live.(idx) <- live;
   t.refs.(idx) <- 1;
   t.alloc_count <- t.alloc_count + 1;
   idx
 
+let alloc t ~level ~frame =
+  let idx = take t ~level ~frame ~live:0 in
+  (* Recycled nodes carry stale entries; hand out zeroed tables. *)
+  Array.fill (block t idx) (block_offset idx) slots 0;
+  idx
+
 let free t idx =
-  t.free <- idx :: t.free;
+  Int_stack.push t.free idx;
   t.free_count <- t.free_count + 1
 
 let free_count t = t.free_count
@@ -118,3 +124,15 @@ let set t idx slot v =
     (Array.unsafe_get t.chunks (idx lsr chunk_shift))
     (((idx land chunk_mask) * slots) + slot)
     v
+
+(* A typed loop, not [Array.blit]: the runtime's blit into an old
+   (major-heap) array goes through the write barrier for every entry.
+   No zero-fill first: every slot is overwritten. *)
+let clone t src =
+  let dst = take t ~level:t.level.(src) ~frame:t.frame.(src) ~live:t.live.(src) in
+  let sb = block t src and so = block_offset src in
+  let db = block t dst and d = block_offset dst in
+  for i = 0 to slots - 1 do
+    Array.unsafe_set db (d + i) (Array.unsafe_get sb (so + i))
+  done;
+  dst

@@ -1,4 +1,6 @@
-(** Flat index-based arena for 512-slot page-table nodes.
+(** Flat index-based arena for 512-slot page-table nodes (and, in a
+    second store per memory, the frame chunks of VM objects — see
+    [Phys_mem.chunk_store]).
 
     One store serves every page table built over one {!Phys_mem.t}
     (interior subtrees are shared across tables, so node indices must
@@ -30,7 +32,8 @@ val free_count : t -> int
     guaranteed un-recycled while the count is unchanged. *)
 
 val alloc_count : t -> int
-(** Monotone count of [alloc] calls over this store's lifetime. *)
+(** Monotone count of [alloc] and [clone] calls over this store's
+    lifetime. *)
 
 val live_count : t -> int
 (** Nodes currently allocated and not yet freed
@@ -49,3 +52,13 @@ val get : t -> int -> int -> int
     Unchecked. *)
 
 val set : t -> int -> int -> int -> unit
+
+val clone : t -> int -> int
+(** A new node with [src]'s level, frame, entries and [live] count, and
+    [refs = 1]. *)
+
+val block : t -> int -> int array
+val block_offset : int -> int
+(** Raw access for whole-node passes: node [idx]'s slot [i] is
+    [(block t idx).(block_offset idx + i)]. The array is shared with
+    other nodes; stay within the node's [slots] entries. *)

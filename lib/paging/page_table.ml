@@ -160,20 +160,28 @@ let leaf_level = function P4K -> 1 | P2M -> 2
    live (non-Empty) slot, modelling the teardown walk that zeroes each
    PTE before the frame is returned. Incremental unmap/prune paths keep
    the default [false]: they already account for the single slot they
-   clear, and the tables they release are empty by construction. *)
+   clear, and the tables they release are empty by construction. A
+   level-1 table holds only leaves, so its live count is the whole
+   charge and its slots need no scan. *)
 let rec decref ?(count_clears = false) t node =
   let store = t.store in
   Pt_store.set_refs store node (Pt_store.refs store node - 1);
   if Pt_store.refs store node = 0 then begin
-    for i = 0 to Pt_store.slots - 1 do
-      let e = Pt_store.get store node i in
-      match e land 3 with
-      | 1 | 3 ->
-        if count_clears then t.stats.pte_clears <- t.stats.pte_clears + 1;
-        decref ~count_clears t (e lsr 2)
-      | 2 -> if count_clears then t.stats.pte_clears <- t.stats.pte_clears + 1
-      | _ -> ()
-    done;
+    if Pt_store.level store node = 1 then begin
+      if count_clears then t.stats.pte_clears <- t.stats.pte_clears + Pt_store.live store node
+    end
+    else begin
+      let b = Pt_store.block store node and o = Pt_store.block_offset node in
+      for i = o to o + Pt_store.slots - 1 do
+        let e = Array.unsafe_get b i in
+        match e land 3 with
+        | 1 | 3 ->
+          if count_clears then t.stats.pte_clears <- t.stats.pte_clears + 1;
+          decref ~count_clears t (e lsr 2)
+        | 2 -> if count_clears then t.stats.pte_clears <- t.stats.pte_clears + 1
+        | _ -> ()
+      done
+    end;
     Phys_mem.free_frame t.mem (frame_of_node t node);
     Pt_store.free store node;
     t.stats.tables_freed <- t.stats.tables_freed + 1
@@ -234,43 +242,45 @@ let own_child t node i =
   let store = t.store in
   let e = Pt_store.get store node i in
   let child = e lsr 2 in
+  (* Whole-node passes index the arena block directly. *)
+  let cb = Pt_store.block store child and co = Pt_store.block_offset child in
   if Pt_store.refs store child = 1 then begin
     Pt_store.set store node i (e_table child);
-    t.stats.pte_writes <- t.stats.pte_writes + 1;
-    for j = 0 to Pt_store.slots - 1 do
-      let ej = Pt_store.get store child j in
+    let writes = ref 1 in
+    for j = co to co + Pt_store.slots - 1 do
+      let ej = Array.unsafe_get cb j in
       match ej land 3 with
       | 1 ->
-        Pt_store.set store child j (ej lor 2);
-        t.stats.pte_writes <- t.stats.pte_writes + 1
+        Array.unsafe_set cb j (ej lor 2);
+        incr writes
       | 2 when ej land cow_bit = 0 ->
-        Pt_store.set store child j (ej lor cow_bit);
-        t.stats.pte_writes <- t.stats.pte_writes + 1
+        Array.unsafe_set cb j (ej lor cow_bit);
+        incr writes
       | _ -> ()
     done;
+    t.stats.pte_writes <- t.stats.pte_writes + !writes;
     child
   end
   else begin
     let copy = alloc_node t ~level:(Pt_store.level store child) in
+    let db = Pt_store.block store copy and d = Pt_store.block_offset copy - co in
     let live = ref 0 in
-    for j = 0 to Pt_store.slots - 1 do
-      let ej = Pt_store.get store child j in
+    for j = co to co + Pt_store.slots - 1 do
+      let ej = Array.unsafe_get cb j in
       match ej land 3 with
       | 1 | 3 ->
         let g = ej lsr 2 in
         Pt_store.set_refs store g (Pt_store.refs store g + 1);
-        Pt_store.set store copy j (e_cow_table g);
-        incr live;
-        t.stats.pte_writes <- t.stats.pte_writes + 1
+        Array.unsafe_set db (d + j) (e_cow_table g);
+        incr live
       | 2 ->
-        Pt_store.set store copy j (ej lor cow_bit);
-        incr live;
-        t.stats.pte_writes <- t.stats.pte_writes + 1
+        Array.unsafe_set db (d + j) (ej lor cow_bit);
+        incr live
       | _ -> ()
     done;
     Pt_store.set_live store copy !live;
     Pt_store.set store node i (e_table copy);
-    t.stats.pte_writes <- t.stats.pte_writes + 1;
+    t.stats.pte_writes <- t.stats.pte_writes + !live + 1;
     decref t child;
     copy
   end
@@ -332,20 +342,20 @@ let map ?(global = false) ?(key = 0) t ~va ~pa ~prot ~size =
   else invalid_arg (Printf.sprintf "Page_table.map: %s already mapped" (Addr.to_string va))
 
 (* Map [n] consecutive 4 KiB pages starting at [va], page [i] backed by
-   [frames.(off + i)]. Observably identical to [n] single [map] calls —
-   same PTEs, same stats and live counts, the same error text on a
-   mid-run occupied slot — but each 2 MiB leaf table is located once
-   for its whole 512-page run instead of once per page. Segment attach
-   loops live on this path. *)
-let map_run ?(global = false) ?(key = 0) t ~va ~n ~frames ~off ~prot =
+   the frame whose base address is [base_at i] ([avail] of them exist).
+   Observably identical to [n] single [map] calls — same PTEs, same
+   stats and live counts, the same error text on a mid-run occupied
+   slot — but each 2 MiB leaf table is located once for its whole
+   512-page run instead of once per page. Segment attach loops live on
+   this path. *)
+let map_run_with ~global ~key t ~va ~n ~avail ~base_at ~prot =
   if n > 0 then begin
     dirty t;
     check_aligned va P4K "map";
     check_key key "map";
     if va < 0 || va + ((n - 1) * Addr.page_size) >= Addr.va_limit then
       invalid_arg "Page_table.map: VA out of range";
-    if off < 0 || off + n > Array.length frames then
-      invalid_arg "Page_table.map: frame range";
+    if n > avail then invalid_arg "Page_table.map: frame range";
     let store = t.store in
     let bits =
       (key lsl 7) lor (prot_index prot lsl 4) lor (if global then 4 else 0) lor 2
@@ -377,8 +387,7 @@ let map_run ?(global = false) ?(key = 0) t ~va ~n ~frames ~off ~prot =
       while (not !fail) && !j < run do
         let slot = slot0 + !j in
         if Pt_store.get store node slot = 0 then begin
-          Pt_store.set store node slot
-            (Phys_mem.base_of_frame (Array.unsafe_get frames (off + !i + !j)) lor bits);
+          Pt_store.set store node slot (base_at (!i + !j) lor bits);
           incr j
         end
         else fail := true
@@ -392,6 +401,16 @@ let map_run ?(global = false) ?(key = 0) t ~va ~n ~frames ~off ~prot =
       i := !i + run
     done
   end
+
+let map_run ?(global = false) ?(key = 0) t ~va ~n ~frames ~off ~prot =
+  map_run_with ~global ~key t ~va ~n ~prot
+    ~avail:(if off < 0 then -1 else Array.length frames - off)
+    ~base_at:(fun i -> Phys_mem.base_of_frame (Array.unsafe_get frames (off + i)))
+
+let map_chunk_run ?(global = false) ?(key = 0) t ~va ~n ~chunks ~chunk ~slot ~prot =
+  map_run_with ~global ~key t ~va ~n ~prot
+    ~avail:(if slot < 0 then -1 else Pt_store.live chunks chunk - slot)
+    ~base_at:(fun i -> Pt_store.get chunks chunk (slot + i) * Addr.page_size)
 
 (* Remove a leaf and prune now-empty exclusively-owned interior tables. *)
 let unmap t ~va ~size =

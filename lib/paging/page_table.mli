@@ -87,6 +87,15 @@ val map_run :
     leaf table once per 2 MiB run instead of once per page — the
     segment attach path for large objects. *)
 
+val map_chunk_run :
+  ?global:bool -> ?key:int ->
+  t -> va:int -> n:int -> chunks:Sj_mem.Pt_store.t -> chunk:int -> slot:int -> prot:Prot.t ->
+  unit
+(** {!map_run} reading the frames from a VM-object chunk instead of an
+    array: page [i] is backed by the frame number in slot [slot + i] of
+    node [chunk] of [chunks] ({!Sj_mem.Phys_mem.chunk_store}). The run
+    must lie within the chunk's [live] slots. *)
+
 val unmap : t -> va:int -> size:page_size -> unit
 (** Remove one mapping; raises [Invalid_argument] if absent. Empty
     interior tables are freed eagerly. *)

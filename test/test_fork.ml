@@ -402,6 +402,41 @@ let test_parallel_byte_identity () =
     (fun i r -> Alcotest.(check string) (Printf.sprintf "domain run %d identical" i) serial r)
     results
 
+(* Regression: destroying a segment left its entry in the registry's
+   mapping table (and forgetting a segment's last mapping left an empty
+   list behind), so every vas_fork + teardown grew the table by one. *)
+let test_fork_teardown_mapping_table () =
+  let m, sys, ctx = setup () in
+  let reg = Api.registry sys in
+  let vas = Api.vas_create ctx ~name:"store" ~mode:0o600 in
+  let seg = Api.seg_alloc_anywhere ctx ~name:"data" ~size:(Size.mib 4) ~mode:0o600 in
+  Api.seg_attach ctx vas seg ~prot:Prot.rw;
+  let vh = Api.vas_attach ctx vas in
+  let before = Registry.mapped_segment_count reg in
+  for i = 1 to 1000 do
+    let fvh = Api.vas_fork ctx vh ~name:"kid" in
+    Api.vas_switch ctx fvh;
+    Api.store64 ctx ~va:(Segment.base seg + (i mod 1024 * Addr.page_size)) (Int64.of_int i);
+    Api.switch_home ctx;
+    let fvas = Api.vas_of_vh fvh in
+    let shadows = Vas.segments fvas in
+    Api.vas_detach ctx fvh;
+    Api.vas_ctl ctx (`Destroy fvas);
+    List.iter (fun (s, _) -> Api.seg_ctl ctx (`Destroy s)) shadows
+  done;
+  Alcotest.(check int) "mapping table size after 1000 fork/teardown cycles" before
+    (Registry.mapped_segment_count reg);
+  check_audit m "after 1000 forks";
+  (* Unregistering a segment drops its entry even while a mapping of it
+     is still noted. *)
+  let other = Api.seg_alloc_anywhere ctx ~name:"other" ~size:(Size.mib 1) ~mode:0o600 in
+  Registry.note_mapping reg ~sid:(Segment.sid other) (Api.vmspace_of_vh vh);
+  Registry.unregister_seg reg other;
+  Alcotest.(check int) "unregister drops the entry" before (Registry.mapped_segment_count reg);
+  (* Forgetting a segment's last mapping drops its entry too. *)
+  Api.vas_detach ctx vh;
+  Alcotest.(check int) "last mapping forgotten" (before - 1) (Registry.mapped_segment_count reg)
+
 let suite =
   [
     Alcotest.test_case "vas_fork shares >90% and isolates writes" `Quick
@@ -416,4 +451,6 @@ let suite =
     Alcotest.test_case "-j1 vs -jN byte identity" `Quick test_parallel_byte_identity;
     Alcotest.test_case "empty-fork identity: PR 9 bench baselines" `Quick
       test_empty_fork_identity;
+    Alcotest.test_case "fork/teardown leaves the mapping table unchanged" `Quick
+      test_fork_teardown_mapping_table;
   ]

@@ -191,6 +191,133 @@ let test_remap_page_granularity () =
     Alcotest.(check int) "retargeted frame" (Pm.base_of_frame frame) mapping.pa
   | None -> Alcotest.fail "4 KiB translation missing"
 
+(* --- VM-object frame ownership against a naive model ---
+
+   The model keeps one page -> frame array per live object; a frame's
+   holders are the live objects whose array contains it. The real
+   objects keep frames in shared 512-frame chunks with per-frame owner
+   counts; after every step the two must agree on every frame, on
+   [page_shared], on the allocated-frame count, and on which frames are
+   free. *)
+
+type model_obj = { real : Vm_object.t; mutable frames : int array }
+
+let model_check m ~base live ~dead =
+  let mem = Machine.mem m in
+  let holders = Hashtbl.create 1024 in
+  List.iter
+    (fun o ->
+      Array.iter
+        (fun f -> Hashtbl.replace holders f (1 + Option.value ~default:0 (Hashtbl.find_opt holders f)))
+        o.frames)
+    live;
+  List.iter
+    (fun o ->
+      if Vm_object.pages o.real <> Array.length o.frames then Alcotest.fail "page count";
+      Array.iteri
+        (fun page f ->
+          if (Vm_object.frame_at o.real ~page :> int) <> f then
+            Alcotest.failf "frame_at page %d: model %d" page f;
+          if Vm_object.page_shared o.real ~page <> (Hashtbl.find holders f > 1) then
+            Alcotest.failf "page_shared page %d (frame %d, %d holders)" page f
+              (Hashtbl.find holders f))
+        o.frames)
+    live;
+  Alcotest.(check int) "frames allocated" (base + Hashtbl.length holders) (Pm.frames_allocated mem);
+  (* Freed exactly when the last holder went: every frame a dead object
+     held is free unless a live one still holds it. *)
+  List.iter
+    (fun f ->
+      let held = Hashtbl.mem holders f in
+      if Pm.is_allocated mem (Pm.frame_of_addr (f * Addr.page_size)) <> held then
+        Alcotest.failf "frame %d: allocated=%b but %d live holders" f (not held)
+          (Option.value ~default:0 (Hashtbl.find_opt holders f)))
+    dead
+
+let frames_of obj = Array.init (Vm_object.pages obj) (fun page -> (Vm_object.frame_at obj ~page :> int))
+
+(* One step per (op, a, b): create, clone, write, grow, destroy. *)
+let run_ownership_ops ops =
+  let m = Machine.create tiny in
+  let base = Pm.frames_allocated (Machine.mem m) in
+  let live = ref [] and dead = ref [] in
+  let nth k = List.nth !live (k mod List.length !live) in
+  List.iter
+    (fun (op, a, b) ->
+      let op = if !live = [] then 0 else if List.length !live >= 8 && op <= 1 then 4 else op in
+      (match op with
+      | 0 ->
+        let obj = Vm_object.create m ~size:((1 + (a * 37 mod 1200)) * Addr.page_size) ~charge_to:None in
+        live := { real = obj; frames = frames_of obj } :: !live
+      | 1 ->
+        let o = nth a in
+        live := { real = Vm_object.cow_clone o.real; frames = Array.copy o.frames } :: !live
+      | 2 ->
+        let o = nth a in
+        let page = b mod Array.length o.frames in
+        let old = o.frames.(page) in
+        let shared = List.exists (fun o' -> o' != o && Array.mem old o'.frames) !live in
+        let f = (Vm_object.resolve_cow_write o.real ~page m ~charge_to:None :> int) in
+        if shared then begin
+          if f = old || List.exists (fun o' -> Array.mem f o'.frames) !live then
+            Alcotest.failf "split of page %d reused a held frame %d" page f;
+          dead := old :: !dead;
+          o.frames.(page) <- f
+        end
+        else Alcotest.(check int) "unshared write keeps its frame" old f
+      | 3 ->
+        let o = nth a in
+        Vm_object.grow m o.real ~by_pages:(1 + (b * 13 mod 600)) ~charge_to:None;
+        let all = frames_of o.real in
+        let fresh = Array.sub all (Array.length o.frames) (Array.length all - Array.length o.frames) in
+        Array.iter
+          (fun f -> if List.exists (fun o' -> Array.mem f o'.frames) !live then Alcotest.fail "grow reused")
+          fresh;
+        o.frames <- all
+      | _ ->
+        let o = nth a in
+        Vm_object.destroy m o.real;
+        live := List.filter (fun o' -> o' != o) !live;
+        dead := Array.to_list o.frames @ !dead);
+      model_check m ~base !live ~dead:!dead)
+    ops;
+  List.iter (fun o -> Vm_object.destroy m o.real) !live;
+  model_check m ~base [] ~dead:!dead;
+  true
+
+let prop_vm_object_ownership =
+  QCheck.Test.make ~name:"vm_object ownership matches the per-page model" ~count:60
+    QCheck.(list_of_size Gen.(int_range 1 30) (triple (int_bound 4) small_nat small_nat))
+    run_ownership_ops
+
+(* Owner counts past one byte: 300 live clones each privatize the same
+   chunk, so its other frames reach 301 owners (the frame table's
+   overflow side table), then fall back through 255 as clones die. *)
+let test_vm_object_owner_overflow () =
+  let m = Machine.create tiny in
+  let mem = Machine.mem m in
+  let base = Pm.frames_allocated mem in
+  let obj = Vm_object.create m ~size:(600 * Addr.page_size) ~charge_to:None in
+  let f1 = Vm_object.frame_at obj ~page:1 and f512 = Vm_object.frame_at obj ~page:512 in
+  let clones = Array.init 300 (fun _ -> Vm_object.cow_clone obj) in
+  Array.iter (fun c -> ignore (Vm_object.resolve_cow_write c ~page:0 m ~charge_to:None)) clones;
+  Alcotest.(check int) "one owner per chunk holding page 1's frame" 301 (Pm.frame_refs mem f1);
+  Alcotest.(check int) "the unwritten chunk is shared, not copied" 1 (Pm.frame_refs mem f512);
+  Alcotest.(check int) "frames: 600 + one split each" (base + 900) (Pm.frames_allocated mem);
+  Array.iteri
+    (fun i c ->
+      Alcotest.(check bool) "clone page 0 private" false (Vm_object.page_shared c ~page:0);
+      Alcotest.(check bool) "clone page 1 shared" true (Vm_object.page_shared c ~page:1);
+      Alcotest.(check int) "frame_at" (f1 :> int) (Vm_object.frame_at c ~page:1 :> int);
+      Vm_object.destroy m c;
+      Alcotest.(check int) "owners fall as clones go" (300 - i) (Pm.frame_refs mem f1))
+    clones;
+  Alcotest.(check bool) "original page 1 unshared again" false (Vm_object.page_shared obj ~page:1);
+  Alcotest.(check int) "split frames freed" (base + 600) (Pm.frames_allocated mem);
+  Vm_object.destroy m obj;
+  Alcotest.(check int) "all freed" base (Pm.frames_allocated mem);
+  Alcotest.(check int) "no owners left" 0 (Pm.frame_refs mem f1)
+
 (* --- Process --- *)
 
 let test_process_layout () =
@@ -253,4 +380,6 @@ let suite =
     Alcotest.test_case "process threads" `Quick test_process_threads;
     Alcotest.test_case "process exit releases memory" `Quick test_process_exit_releases;
     Alcotest.test_case "layout: disjoint global bases" `Quick test_layout_disjoint;
+    QCheck_alcotest.to_alcotest prop_vm_object_ownership;
+    Alcotest.test_case "vm_object owner counts past 255" `Quick test_vm_object_owner_overflow;
   ]

@@ -97,6 +97,78 @@ let test_zero_frame () =
   Pm.zero_frame m f;
   Alcotest.(check int) "zeroed" 0 (Pm.read8 m ~pa)
 
+(* Freed frames come back last-freed-first, per node, with the frames
+   an aligned contiguous allocation skips queued in ascending order
+   (so the highest skipped frame comes back first). Frame numbers feed
+   simulated addresses and cycles, so the order is pinned literally. *)
+let test_free_list_order () =
+  let m = Pm.create ~size:(Size.mib 8) ~numa_nodes:2 in
+  let got = ref [] in
+  let take (f : Pm.frame) =
+    got := (f :> int) :: !got;
+    f
+  in
+  let alloc ?node () = take (Pm.alloc_frame ?node m) in
+  let contiguous ?node ?align n =
+    Array.iter (fun f -> ignore (take f)) (Pm.alloc_frames_contiguous ?node ?align m ~n)
+  in
+  let a = Pm.alloc_frames m ~n:5 in
+  Array.iter (fun f -> ignore (take f)) a;
+  Pm.free_frame m a.(1);
+  Pm.free_frame m a.(3);
+  ignore (alloc ());
+  ignore (alloc ());
+  contiguous ~align:512 4;
+  let f511 = alloc () in
+  ignore (alloc ());
+  Pm.free_frame m a.(0);
+  Pm.free_frame m f511;
+  ignore (alloc ~node:1 ());
+  ignore (alloc ());
+  ignore (alloc ());
+  ignore (alloc ());
+  contiguous ~node:1 ~align:8 3;
+  let g = alloc ~node:1 () in
+  Pm.free_frame m g;
+  Pm.free_frame m a.(2);
+  ignore (alloc ~node:1 ());
+  ignore (alloc ());
+  ignore (alloc ~node:1 ());
+  Alcotest.(check (list int)) "frame numbers"
+    [ 0; 1; 2; 3; 4; 3; 1; 512; 513; 514; 515; 511; 510; 1024; 511; 0; 509; 1032; 1033; 1034;
+      1031; 1031; 2; 1030 ]
+    (List.rev !got)
+
+let test_owner_counts () =
+  let m = mk () in
+  let f = Pm.alloc_frame m in
+  Alcotest.(check int) "one owner" 1 (Pm.frame_refs m f);
+  for _ = 1 to 299 do Pm.share_frame m f done;
+  Alcotest.(check int) "past one byte" 300 (Pm.frame_refs m f);
+  Alcotest.check_raises "shared frame cannot be freed outright"
+    (Invalid_argument (Printf.sprintf "Phys_mem.free_frame: frame %d has 300 owners" (f :> int)))
+    (fun () -> Pm.free_frame m f);
+  for _ = 1 to 299 do Pm.release_frame m f done;
+  Alcotest.(check int) "back to one" 1 (Pm.frame_refs m f);
+  Alcotest.(check int) "still allocated" 1 (Pm.frames_allocated m);
+  Pm.release_frame m f;
+  Alcotest.(check bool) "last release frees" false (Pm.is_allocated m f);
+  Alcotest.(check int) "free" 0 (Pm.frame_refs m f);
+  Alcotest.check_raises "release of a free frame"
+    (Invalid_argument "Phys_mem.release_frame: frame not allocated") (fun () -> Pm.release_frame m f)
+
+let test_copy_frame () =
+  let m = mk () in
+  let src = Pm.alloc_frame m and dst = Pm.alloc_frame m in
+  Pm.write64 m ~pa:(Pm.base_of_frame dst + 8) 7L;
+  Pm.copy_frame m ~src ~dst;
+  Alcotest.(check int64) "blank source copies as zeroes" 0L (Pm.read64 m ~pa:(Pm.base_of_frame dst + 8));
+  Pm.write64 m ~pa:(Pm.base_of_frame src + 16) 0x1234L;
+  Pm.copy_frame m ~src ~dst;
+  Alcotest.(check int64) "contents copied" 0x1234L (Pm.read64 m ~pa:(Pm.base_of_frame dst + 16));
+  Pm.write64 m ~pa:(Pm.base_of_frame src + 16) 1L;
+  Alcotest.(check int64) "copy is independent" 0x1234L (Pm.read64 m ~pa:(Pm.base_of_frame dst + 16))
+
 let prop_rw_roundtrip =
   QCheck.Test.make ~name:"write64/read64 roundtrip at random offsets" ~count:300
     QCheck.(pair (int_bound (Size.mib 4 - 8)) int64)
@@ -133,4 +205,7 @@ let suite =
     Alcotest.test_case "zero_frame" `Quick test_zero_frame;
     QCheck_alcotest.to_alcotest prop_rw_roundtrip;
     QCheck_alcotest.to_alcotest prop_bytes_roundtrip;
+    Alcotest.test_case "free-list order pinned" `Quick test_free_list_order;
+    Alcotest.test_case "owner counts" `Quick test_owner_counts;
+    Alcotest.test_case "copy_frame" `Quick test_copy_frame;
   ]

@@ -229,6 +229,81 @@ let prop_paging_model =
       done;
       !ok)
 
+(* [Page_table.destroy] counts one PTE clear per live slot of every
+   table it frees; for level-1 tables it reads the live count instead of
+   scanning. Pin that against a reference that scans every slot of every
+   table whose last reference the destroy drops. *)
+let reference_clears store root =
+  let drops = Hashtbl.create 64 in
+  let rec go node =
+    let d = 1 + Option.value ~default:0 (Hashtbl.find_opt drops node) in
+    Hashtbl.replace drops node d;
+    if Sj_mem.Pt_store.refs store node > d then 0
+    else begin
+      let n = ref 0 in
+      for i = 0 to Sj_mem.Pt_store.slots - 1 do
+        let e = Sj_mem.Pt_store.get store node i in
+        match e land 3 with
+        | 1 | 3 -> n := !n + 1 + go (e lsr 2)
+        | 2 -> incr n
+        | _ -> ()
+      done;
+      !n
+    end
+  in
+  go root
+
+let test_destroy_clear_count () =
+  let m = Pm.create ~size:(Size.mib 64) ~numa_nodes:1 in
+  let store = Pm.pt_store m in
+  let frames = Pm.alloc_frames m ~n:4096 in
+  let pa i = Pm.base_of_frame frames.(i) in
+  let make () =
+    let pt = Page_table.create m in
+    (pt, List.hd (Pm.pt_roots m))
+  in
+  let destroy_checked what (pt, root) =
+    let expected = reference_clears store root in
+    let before = (Page_table.stats pt).pte_clears in
+    Page_table.destroy pt;
+    Alcotest.(check int) what expected ((Page_table.stats pt).pte_clears - before)
+  in
+  (* A run straddling a 1 GiB boundary, with holes punched by unmap. *)
+  let run_va = Size.gib 1 - (700 * Addr.page_size) in
+  let build () =
+    let ((pt, _) as t) = make () in
+    Page_table.map_run pt ~va:run_va ~n:1400 ~frames ~off:0 ~prot:Prot.rw;
+    for i = 0 to 99 do
+      Page_table.unmap pt ~va:(run_va + (i * 7 * Addr.page_size)) ~size:Page_table.P4K
+    done;
+    (* Fully unmap one leaf table's worth so unmap prunes it. *)
+    Page_table.map_run pt ~va:(Size.gib 3) ~n:512 ~frames ~off:1500 ~prot:Prot.r;
+    Page_table.unmap_range pt ~va:(Size.gib 3) ~pages:512;
+    for i = 0 to 2 do
+      Page_table.map pt ~va:(Size.gib 2 + (i * Size.mib 2)) ~pa:(i * Size.mib 2) ~prot:Prot.rw
+        ~size:Page_table.P2M
+    done;
+    Page_table.map_run pt ~va:(Size.gib 2 + Size.mib 6) ~n:3 ~frames ~off:2100 ~prot:Prot.rw;
+    t
+  in
+  destroy_checked "map_run/unmap/2 MiB tree" (build ());
+  (* A fork family: each side breaks CoW and maps fresh pages, then the
+     clone dies first (shared subtrees survive it), then the original. *)
+  let ((pt, _) as orig) = build () in
+  let clone = Page_table.clone_cow pt in
+  let clone_t = (clone, List.hd (Pm.pt_roots m)) in
+  List.iter
+    (fun (i, f) -> Page_table.break_cow clone ~va:(run_va + (i * Addr.page_size)) ~pa:(pa f))
+    [ (1, 3000); (600, 3001); (1300, 3002) ];
+  Page_table.break_cow pt ~va:(run_va + (2 * Addr.page_size)) ~pa:(pa 3003);
+  Page_table.map_run clone ~va:(Size.gib 5) ~n:20 ~frames ~off:3100 ~prot:Prot.rw;
+  Page_table.unmap clone ~va:(run_va + (5 * Addr.page_size)) ~size:Page_table.P4K;
+  destroy_checked "forked clone" clone_t;
+  destroy_checked "fork original after its clone" orig;
+  let a = Page_table.audit m in
+  Alcotest.(check int) "no leaked nodes" 0 a.Page_table.a_leaked;
+  Alcotest.(check int) "no live nodes" 0 a.Page_table.a_nodes
+
 let suite =
   [
     Alcotest.test_case "map and walk" `Quick test_map_walk;
@@ -244,4 +319,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_walk_inverts_map;
     QCheck_alcotest.to_alcotest prop_unmap_removes_exactly;
     QCheck_alcotest.to_alcotest prop_paging_model;
+    Alcotest.test_case "destroy counts every live slot" `Quick test_destroy_clear_count;
   ]
